@@ -27,6 +27,7 @@ pub mod backoff;
 pub mod config;
 pub mod ctx;
 pub mod error;
+pub mod flow;
 pub mod governor;
 pub mod ha;
 pub mod netthread;
@@ -39,6 +40,7 @@ pub mod stats;
 pub use config::GravelConfig;
 pub use ctx::GravelCtx;
 pub use error::{ErrorSlot, RuntimeError};
+pub use flow::FlowSet;
 pub use governor::{GovernorConfig, LaneGovernor};
 pub use ha::{
     Checkpoint, EpochSnapshot, FailureDetector, HaConfig, HeartbeatConfig, LeaseState, PeerStatus,

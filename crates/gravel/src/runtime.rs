@@ -152,19 +152,19 @@ impl GravelRuntime {
         }
         for node in &nodes {
             for slot in 0..cfg.aggregator_threads {
-                let state = Arc::new(Mutex::new(LaneState::new()));
+                // Adaptive flush when configured; the paper's fixed
+                // timeout otherwise.
+                let to = cfg
+                    .adaptive_flush
+                    .map_or(FlushPolicy::Fixed(cfg.flush_timeout), FlushPolicy::Adaptive);
+                let state = LaneState::new(node, transport.clone(), slot, cfg.node_queue_bytes, to);
+                let state = Arc::new(Mutex::new(state));
                 let (node, transport, errors, chaos) = (
                     node.clone(),
                     transport.clone(),
                     errors.clone(),
                     chaos.clone(),
                 );
-                let qb = cfg.node_queue_bytes;
-                // Adaptive flush when configured; the paper's fixed
-                // timeout otherwise.
-                let to = cfg
-                    .adaptive_flush
-                    .map_or(FlushPolicy::Fixed(cfg.flush_timeout), FlushPolicy::Adaptive);
                 supervisor.spawn(
                     format!("gravel-agg-{}-{}", node.id, slot),
                     WorkerKind::Aggregator,
@@ -174,8 +174,6 @@ impl GravelRuntime {
                             node.clone(),
                             slot,
                             transport.clone(),
-                            qb,
-                            to,
                             errors.clone(),
                             state.clone(),
                             chaos.clone(),

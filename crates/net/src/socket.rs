@@ -352,17 +352,26 @@ impl StreamDecoder {
     }
 }
 
-/// Per-peer connection slot. `generation` ties each reader thread to
-/// the stream it serves, so a stale reader can't tear down a
-/// replacement connection.
+/// Per-peer connection slot, locked across every blocking write.
 struct PeerSlot {
     writer: Option<Stream>,
-    generation: u64,
     ever_connected: bool,
     /// Peer answered our HELLO with a REJECT — dialing again is
     /// pointless (version/shape mismatches don't heal), so the
     /// connector stops, bounding the storm.
     gave_up: bool,
+}
+
+/// One peer's connection state.
+struct Peer {
+    /// The writer side. Its lock is held across a blocking write, so
+    /// the reader never takes it per read: two peers whose send buffers
+    /// are both full must still drain each other.
+    slot: Mutex<PeerSlot>,
+    /// Ties each reader thread to the stream it serves, so a stale
+    /// reader can't tear down a replacement connection. Changed only
+    /// under `slot`'s lock; readers check it without the lock.
+    generation: AtomicU64,
 }
 
 struct Counters {
@@ -386,7 +395,7 @@ struct Inner {
     addrs: Vec<SocketAddrSpec>,
     epoch: AtomicU32,
     closed: AtomicBool,
-    peers: Vec<Mutex<PeerSlot>>,
+    peers: Vec<Peer>,
     data_tx: Sender<DataFrame>,
     data_rx: Receiver<DataFrame>,
     ack_tx: Vec<Sender<AckFrame>>,
@@ -488,13 +497,13 @@ impl SocketTransport {
             epoch: AtomicU32::new(0),
             closed: AtomicBool::new(false),
             peers: (0..cfg.nodes)
-                .map(|_| {
-                    Mutex::new(PeerSlot {
+                .map(|_| Peer {
+                    slot: Mutex::new(PeerSlot {
                         writer: None,
-                        generation: 0,
                         ever_connected: false,
                         gave_up: false,
-                    })
+                    }),
+                    generation: AtomicU64::new(0),
                 })
                 .collect(),
             data_tx,
@@ -569,7 +578,7 @@ impl SocketTransport {
 
     /// Whether the stream to `peer` is currently up.
     pub fn connected(&self, peer: NodeId) -> bool {
-        self.inner.peers[peer as usize].lock().unwrap().writer.is_some()
+        self.inner.peers[peer as usize].slot.lock().unwrap().writer.is_some()
     }
 
     /// Block until the stream to `peer` is up, up to `deadline`.
@@ -670,12 +679,12 @@ impl Inner {
         if self.closed.swap(true, Ordering::SeqCst) {
             return;
         }
-        for slot in &self.peers {
-            let mut slot = slot.lock().unwrap();
+        for peer in &self.peers {
+            let mut slot = peer.slot.lock().unwrap();
             if let Some(s) = slot.writer.take() {
                 s.shutdown();
             }
-            slot.generation += 1;
+            peer.generation.fetch_add(1, Ordering::SeqCst);
         }
     }
 
@@ -752,7 +761,7 @@ impl Inner {
         buf.extend_from_slice(&(frame.len() as u32).to_le_bytes());
         buf.extend_from_slice(frame);
         let ok = {
-            let mut slot = self.peers[peer as usize].lock().unwrap();
+            let mut slot = self.peers[peer as usize].slot.lock().unwrap();
             match slot.writer.as_mut() {
                 None => {
                     self.stats.link_drops.fetch_add(1, Ordering::Relaxed);
@@ -761,8 +770,7 @@ impl Inner {
                 Some(writer) => {
                     if let Err(_e) = writer.write_all(&buf) {
                         self.stats.link_drops.fetch_add(1, Ordering::Relaxed);
-                        let gen = slot.generation;
-                        self.drop_conn(&mut slot, gen);
+                        self.drop_conn(peer, &mut slot);
                         false
                     } else {
                         true
@@ -776,16 +784,12 @@ impl Inner {
         ok
     }
 
-    /// Tear down the connection in `slot` if it is still generation
-    /// `gen`, emitting a Down event.
-    fn drop_conn(&self, slot: &mut PeerSlot, gen: u64) {
-        if slot.generation != gen {
-            return;
-        }
+    /// Tear down `peer`'s connection, whose locked `slot` is passed in.
+    fn drop_conn(&self, peer: NodeId, slot: &mut PeerSlot) {
         if let Some(s) = slot.writer.take() {
             s.shutdown();
         }
-        slot.generation += 1;
+        self.peers[peer as usize].generation.fetch_add(1, Ordering::SeqCst);
     }
 
     fn note_down(&self, peer: NodeId) {
@@ -806,12 +810,11 @@ impl Inner {
         stream.set_read_timeout(Some(READ_TICK));
         let gen;
         {
-            let mut slot = self.peers[peer as usize].lock().unwrap();
+            let mut slot = self.peers[peer as usize].slot.lock().unwrap();
             if let Some(old) = slot.writer.take() {
                 old.shutdown();
             }
-            slot.generation += 1;
-            gen = slot.generation;
+            gen = self.peers[peer as usize].generation.fetch_add(1, Ordering::SeqCst) + 1;
             slot.writer = Some(stream);
             if slot.ever_connected {
                 self.stats.reconnects.fetch_add(1, Ordering::Relaxed);
@@ -893,7 +896,7 @@ impl Inner {
         let mut attempt: u32 = 0;
         while !self.closed.load(Ordering::Relaxed) {
             {
-                let slot = self.peers[peer as usize].lock().unwrap();
+                let slot = self.peers[peer as usize].slot.lock().unwrap();
                 if slot.gave_up {
                     return;
                 }
@@ -909,7 +912,7 @@ impl Inner {
                     attempt = 0;
                 }
                 DialOutcome::Rejected => {
-                    self.peers[peer as usize].lock().unwrap().gave_up = true;
+                    self.peers[peer as usize].slot.lock().unwrap().gave_up = true;
                     return;
                 }
                 DialOutcome::Failed => {
@@ -976,15 +979,12 @@ impl Inner {
         let mut decoder = StreamDecoder::new(MAX_FRAME_BYTES);
         let mut chunk = [0u8; 16 * 1024];
         let mut frame = Vec::new();
-        loop {
+        'read: loop {
             if self.closed.load(Ordering::Relaxed) {
                 return;
             }
-            {
-                let slot = self.peers[peer as usize].lock().unwrap();
-                if slot.generation != gen {
-                    return; // replaced by a newer connection
-                }
+            if self.peers[peer as usize].generation.load(Ordering::SeqCst) != gen {
+                return; // replaced by a newer connection
             }
             match stream.read(&mut chunk) {
                 Ok(0) => break, // EOF: peer exited or died
@@ -998,8 +998,7 @@ impl Inner {
                                 // Length prefix is garbage: framing is
                                 // lost, the stream cannot be trusted.
                                 self.stats.garbage_frames.fetch_add(1, Ordering::Relaxed);
-                                self.teardown(peer, gen);
-                                return;
+                                break 'read;
                             }
                         }
                     }
@@ -1012,13 +1011,16 @@ impl Inner {
                 Err(_) => break,
             }
         }
+        // Shut the socket before taking the slot lock, so a writer
+        // blocked on this stream fails fast and releases it.
+        stream.shutdown();
         self.teardown(peer, gen);
     }
 
     fn teardown(&self, peer: NodeId, gen: u64) {
-        let mut slot = self.peers[peer as usize].lock().unwrap();
-        if slot.generation == gen {
-            self.drop_conn(&mut slot, gen);
+        let mut slot = self.peers[peer as usize].slot.lock().unwrap();
+        if self.peers[peer as usize].generation.load(Ordering::SeqCst) == gen {
+            self.drop_conn(peer, &mut slot);
             drop(slot);
             self.note_down(peer);
         }

@@ -549,3 +549,68 @@ fn link_chaos_partitions_and_delays_the_socket_mesh() {
     t0.close();
     t1.close();
 }
+
+/// A writer blocked on a full socket buffer must never stop its own
+/// endpoint from reading: if it did, two peers flooding each other
+/// would both block on buffers neither drains. Both nodes send frames
+/// several times a UDS buffer's size at once while consumers drain;
+/// every frame must arrive by the deadline.
+#[test]
+fn bidirectional_flood_of_large_frames_does_not_deadlock() {
+    const FRAMES: usize = 200;
+    const WORDS: usize = 32 * 1024; // 256 kB payload per frame
+    let addrs = uds_pair("flood");
+    let spawn = |me: u32| {
+        let mut cfg = SocketConfig::new(me, addrs.clone());
+        cfg.reconnect = fast_reconnect();
+        // Room for every frame, so a slow consumer can't drop any.
+        cfg.ingress_capacity = FRAMES;
+        SocketTransport::spawn(cfg).expect("bind")
+    };
+    let ts = [spawn(0), spawn(1)];
+    assert!(ts[0].wait_connected(1, Duration::from_secs(5)), "0 sees 1");
+    assert!(ts[1].wait_connected(0, Duration::from_secs(5)), "1 sees 0");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut consumers = Vec::new();
+    let mut senders = Vec::new();
+    for me in 0..2u32 {
+        // Consumers stop at the deadline, so joining them never hangs.
+        let t = ts[me as usize].clone();
+        consumers.push(std::thread::spawn(move || {
+            let mut seqs = Vec::new();
+            while seqs.len() < FRAMES && Instant::now() < deadline {
+                if let RecvStatus::Msg(f) = t.recv_data(me, Duration::from_millis(50)) {
+                    let p = f.open(WireIntegrity::Crc32c).expect("clean frame");
+                    assert_eq!((p.src, p.words().len()), (1 - me, WORDS));
+                    seqs.push(p.seq);
+                }
+            }
+            seqs
+        }));
+        // A deadlocked sender never returns: it is joined only after
+        // every frame arrived, so the test fails at its deadline
+        // rather than hang.
+        let t = ts[me as usize].clone();
+        senders.push(std::thread::spawn(move || {
+            let words = vec![u64::from(me); WORDS];
+            for seq in 0..FRAMES as u64 {
+                let mut p = Packet::from_words(me, 1 - me, &words);
+                p.seq = seq;
+                t.send_data(p.seal(0, WireIntegrity::Crc32c), Duration::from_secs(1));
+            }
+        }));
+    }
+    for (me, c) in consumers.into_iter().enumerate() {
+        let seqs = c.join().unwrap();
+        assert_eq!(
+            seqs,
+            (0..FRAMES as u64).collect::<Vec<_>>(),
+            "node {me} received {} of {FRAMES} frames by the deadline",
+            seqs.len()
+        );
+    }
+    for s in senders {
+        s.join().unwrap();
+    }
+    assert_eq!(ts[0].stats().link_drops + ts[1].stats().link_drops, 0);
+}

@@ -14,12 +14,23 @@
 //! * [`store`]  — buddy-side storage of a ward's baseline + replay log.
 //! * [`forward`] — the [`PacketTap`](gravel_core::netthread::PacketTap)
 //!   that streams applied packets to the buddy and cuts epochs.
-//! * [`sender`] — deterministic GUPS packetization + go-back-N flows.
+//!
+//! Three senders, each a feeder of one
+//! [`FlowSet`](gravel_core::FlowSet) — the go-back-N engine the
+//! in-process aggregator uses (DESIGN.md §9), run here without a retry
+//! budget:
+//!
+//! * [`sender`] — deterministic GUPS packetization, fed on lane 0.
 //! * [`elastic`] — live membership: the versioned shard directory, the
-//!   stale-routing bounce gate, pull-based shard migration, and the
-//!   node-0 coordinator (DESIGN.md §16).
-//! * [`rpc_pump`] — request-reply (GET) flows on their own wire lane,
-//!   plus the sentinel probes the cluster test verifies bit-exact.
+//!   stale-routing bounce gate, pull-based shard migration, the
+//!   lease-holding coordinator (DESIGN.md §16, §18), and the elastic
+//!   sender that routes its queue through the live map on lane 0.
+//! * [`rpc_pump`] — request-reply (GET) traffic drained from the
+//!   offload queue onto lane 1, plus the sentinel probes the cluster
+//!   test verifies bit-exact.
+//!
+//! And the process plumbing:
+//!
 //! * [`signal`] — SIGTERM/SIGINT graceful-shutdown plumbing and the
 //!   literal self-`kill -9` chaos switch.
 //! * [`report`] — the JSON the harness asserts on, written atomically.

@@ -29,7 +29,7 @@ use gravel_core::ha::heartbeat;
 use gravel_core::netthread::{self, PacketTap, RecvState};
 use gravel_core::{ErrorSlot, FailureDetector, GravelConfig, HeartbeatConfig, NodeShared};
 use gravel_net::{
-    ChaosPlan, PeerEvent, ProcessFault, RecvStatus, SocketAddrSpec, SocketConfig,
+    ChaosPlan, PeerEvent, ProcessFault, RecvStatus, RetryConfig, SocketAddrSpec, SocketConfig,
     SocketTransport, Transport,
 };
 use gravel_pgas::{AmRegistry, WireIntegrity};
@@ -40,7 +40,7 @@ use gravel_node::forward::Forwarder;
 use gravel_node::proto::{self, RecoverResp, OP_CKPT, OP_FWD, OP_RECOVER_REQ, OP_RECOVER_RESP};
 use gravel_node::report::{write_report, OutReport, OutStats, QuarantineEntry};
 use gravel_node::rpc_pump;
-use gravel_node::sender::{self, SenderConfig};
+use gravel_node::sender;
 use gravel_node::signal;
 use gravel_node::store::WardStores;
 
@@ -487,6 +487,19 @@ fn run() -> i32 {
     // Generous RPC deadline: a GET must survive a peer's kill -9 →
     // restart window before it is declared timed out.
     cfg.rpc.timeout = Duration::from_secs(5);
+    // The senders' go-back-N tuning. No retry budget: a dead peer is
+    // expected to come back (that is the whole point of this binary),
+    // so flows retry until the run deadline, and the 500 ms ceiling
+    // makes a down peer cost one probe per expiry, not a storm.
+    cfg.retry = RetryConfig {
+        window: 32,
+        backoff: Duration::from_millis(50),
+        backoff_max: Duration::from_millis(500),
+        max_retries: u32::MAX,
+    };
+    // Each sender's flows carry one band (GUPS on lane 0, GETs and
+    // replies on lane 1), so band credits would only shrink the window.
+    cfg.rpc.qos_bands = false;
     let node = Arc::new(NodeShared::new(me, &cfg, Arc::new(AmRegistry::new())));
 
     let mut scfg = SocketConfig::new(me, addrs(&args));
@@ -757,12 +770,11 @@ fn run() -> i32 {
             let msgs_per_packet = args.msgs_per_packet;
             move || {
                 elastic::run_elastic_sender(
-                    &t,
-                    &n,
+                    t,
+                    n,
                     &st,
                     plan,
                     msgs_per_packet,
-                    &SenderConfig::default(),
                     &stop,
                     deadline,
                     &drained,
@@ -775,7 +787,7 @@ fn run() -> i32 {
                 (transport.clone(), node.clone(), stop.clone(), sender_done.clone());
             let plans = sender::plan_flows(&input, nodes, me, args.msgs_per_packet);
             move || {
-                if sender::run_sender(&t, &n, plans, &SenderConfig::default(), &stop, deadline) {
+                if sender::run_sender(t, n, plans, &stop, deadline) {
                     done.store(true, Ordering::SeqCst);
                 }
             }
@@ -808,7 +820,7 @@ fn run() -> i32 {
     if args.gets > 0 {
         rpc_threads.push(std::thread::spawn({
             let (t, n, stop) = (transport.clone(), node.clone(), stop.clone());
-            move || rpc_pump::run_rpc_pump(&t, &n, &stop, deadline)
+            move || rpc_pump::run_rpc_pump(t, n, &stop, deadline)
         }));
         rpc_threads.push(std::thread::spawn({
             let (n, stop, done) = (node.clone(), stop.clone(), gets_done.clone());

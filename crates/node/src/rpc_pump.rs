@@ -5,8 +5,8 @@
 //! pre-packetized by [`crate::sender`]), so RPC traffic gets its own
 //! pump: a thread that drains the node's offload queue — GET requests
 //! issued locally *and* reply messages the network thread enqueues
-//! while serving peers — and drives them as go-back-N flows on **lane
-//! 1**, keeping the deterministic GUPS flows on lane 0 untouched.
+//! while serving peers — into a [`FlowSet`] on **lane 1**, keeping the
+//! deterministic GUPS flows on lane 0 untouched.
 //!
 //! Each node also owns a *sentinel* heap word just past its GUPS
 //! partition, holding a value that is a pure function of `(seed, node)`
@@ -15,17 +15,18 @@
 //! which is what lets the cluster test assert bit-exact GET results
 //! even across a `kill -9` recovery.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use gravel_core::NodeShared;
+use gravel_core::{FlowSet, NodeShared};
 use gravel_gq::{Consumed, Message, ReplySink, ReplyState, RpcFailure};
-use gravel_net::{SocketTransport, Transport};
+use gravel_net::Transport;
 use gravel_pgas::Packet;
 use gravel_telemetry::Counter;
+
+use crate::sender::IDLE_NAP;
 
 /// The wire lane RPC flows travel on (GUPS owns lane 0).
 pub const RPC_LANE: u32 = 1;
@@ -38,131 +39,47 @@ pub fn sentinel_value(seed: u64, node: u32) -> u64 {
         | 1
 }
 
-struct PumpFlow {
-    /// First unacked sequence.
-    base: u64,
-    /// Next sequence to stamp.
-    next: u64,
-    /// Sent, unacknowledged frames in sequence order.
-    unacked: VecDeque<gravel_pgas::DataFrame>,
-    /// Messages drained from the queue, not yet stamped (one message
-    /// per packet: RPC traffic is latency-bound, not bandwidth-bound).
-    queued: VecDeque<[u64; gravel_gq::MSG_ROWS]>,
-    rto: Duration,
-    timer: Instant,
-}
-
-impl PumpFlow {
-    fn new(rto: Duration) -> Self {
-        PumpFlow {
-            base: 0,
-            next: 0,
-            unacked: VecDeque::new(),
-            queued: VecDeque::new(),
-            rto,
-            timer: Instant::now(),
-        }
-    }
-}
-
-const PUMP_WINDOW: usize = 32;
-const PUMP_RTO_BASE: Duration = Duration::from_millis(50);
-const PUMP_RTO_MAX: Duration = Duration::from_millis(500);
-
-/// Drain the node's offload queue into per-destination go-back-N flows
-/// on [`RPC_LANE`] until `stop`, the deadline, or transport close.
-/// Like the GUPS sender there is no retry budget: a dead peer is
-/// expected to come back, and the pending-reply table (not this pump)
-/// enforces each request's deadline.
+/// Drain the node's offload queue into a [`FlowSet`] on [`RPC_LANE`]
+/// until `stop`, the deadline, or transport close. Like the GUPS
+/// sender there is no retry budget: a dead peer is expected to come
+/// back, and the pending-reply table (not this pump) enforces each
+/// request's deadline.
 pub fn run_rpc_pump(
-    transport: &SocketTransport,
-    node: &NodeShared,
+    transport: Arc<dyn Transport>,
+    node: Arc<NodeShared>,
     stop: &AtomicBool,
     deadline: Instant,
 ) {
-    let integrity = node.wire_integrity;
-    let mut flows: HashMap<u32, PumpFlow> = HashMap::new();
+    let mut flows = FlowSet::new(node.clone(), transport.clone(), RPC_LANE);
     let mut batch: Vec<u64> = Vec::new();
     loop {
         if stop.load(Relaxed) || Instant::now() >= deadline || transport.is_closed() {
             return;
         }
-        let mut progressed = false;
-        // Cumulative acks for the RPC lane.
-        while let Some(frame) = transport.try_recv_ack(node.id, RPC_LANE) {
-            match frame.open(integrity) {
-                Ok(ack) => {
-                    node.net_acks_received.inc();
-                    if let Some(f) = flows.get_mut(&ack.src) {
-                        while f.base <= ack.cum_seq && !f.unacked.is_empty() {
-                            f.unacked.pop_front();
-                            f.base += 1;
-                            progressed = true;
-                        }
-                        if progressed {
-                            f.rto = PUMP_RTO_BASE;
-                            f.timer = Instant::now();
-                        }
-                    }
-                }
-                Err(_) => node.net_ack_corrupt_dropped.inc(),
-            }
-        }
+        let mut progressed = flows.drain_acks();
         // Drain the offload queue: locally issued GETs plus replies the
         // network thread enqueued while serving peers.
         for lane in 0..node.queue.lanes() {
             batch.clear();
             match node.queue.ring(lane).try_consume_batch(&mut batch, 64) {
                 Consumed::Batch(_) => {
-                    for chunk in batch.chunks_exact(gravel_gq::MSG_ROWS) {
-                        let words: [u64; gravel_gq::MSG_ROWS] =
-                            chunk.try_into().expect("exact chunk");
-                        let dest = words[1] as u32;
-                        flows
-                            .entry(dest)
-                            .or_insert_with(|| PumpFlow::new(PUMP_RTO_BASE))
-                            .queued
-                            .push_back(words);
-                        progressed = true;
+                    // One message per packet: RPC traffic is
+                    // latency-bound, not bandwidth-bound.
+                    for words in batch.chunks_exact(gravel_gq::MSG_ROWS) {
+                        flows.submit(Packet::from_words(node.id, words[1] as u32, words));
                     }
+                    progressed = true;
                 }
                 Consumed::Empty => {}
                 Consumed::Closed => return,
             }
         }
-        let epoch = node.wire_epoch.load(Relaxed);
-        for (&dest, f) in flows.iter_mut() {
-            // Stamp queued messages into the window.
-            while f.unacked.len() < PUMP_WINDOW {
-                let Some(words) = f.queued.pop_front() else { break };
-                let mut pkt = Packet::from_words(node.id, dest, &words);
-                pkt.lane = RPC_LANE;
-                pkt.seq = f.next;
-                f.next += 1;
-                // Sealing stamps the frame kind from the message class
-                // (GET / AM_REPLY), so the wire advertises the traffic
-                // class even without the in-process QoS scheduler. The
-                // frame buffer comes from the node's arena when pooling
-                // is on.
-                let frame = pkt.seal_in(epoch, integrity, node.pool.as_ref());
-                let _ = transport.send_data(frame.clone(), Duration::from_millis(5));
-                f.unacked.push_back(frame);
-                f.timer = Instant::now();
-                progressed = true;
-            }
-            // Go-back-N on silent expiry; also the probe that
-            // rediscovers a peer returning from a kill -9.
-            if !f.unacked.is_empty() && f.timer.elapsed() >= f.rto {
-                for frame in &f.unacked {
-                    let _ = transport.send_data(frame.clone(), Duration::from_millis(5));
-                    node.net_retransmits.inc();
-                }
-                f.rto = (f.rto * 2).min(PUMP_RTO_MAX);
-                f.timer = Instant::now();
-            }
+        flows.retry_parked();
+        if flows.poll_retransmits().is_err() {
+            return; // unreachable without a retry budget
         }
         if !progressed {
-            std::thread::sleep(Duration::from_micros(500));
+            std::thread::sleep(IDLE_NAP);
         }
     }
 }
