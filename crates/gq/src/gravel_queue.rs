@@ -422,16 +422,19 @@ impl GravelQueue {
             }
             self.stats.consumer_rmws.add(1);
             self.stats.consumer_hits.add(k);
+            let (rows, width) = (self.cfg.rows, self.cfg.lane_width);
             let mut total = 0usize;
             for i in 0..k {
                 let (slot, round) = self.slot_ring(seq + i);
                 let count = slot.count.load(Ordering::Relaxed) as usize;
-                out.reserve(count * self.cfg.rows);
-                for m in 0..count {
-                    for row in 0..self.cfg.rows {
-                        out.push(
-                            slot.payload[row * self.cfg.lane_width + m].load(Ordering::Relaxed),
-                        );
+                // Size the slot's span of `out` once, then transpose row
+                // by row: reads walk a row's contiguous lanes, writes
+                // stride by `rows` into the message-major output.
+                let at = out.len();
+                out.resize(at + count * rows, 0);
+                for (row, lanes) in slot.payload.chunks_exact(width).enumerate() {
+                    for (msg, w) in out[at..].chunks_exact_mut(rows).zip(&lanes[..count]) {
+                        msg[row] = w.load(Ordering::Relaxed);
                     }
                 }
                 slot.full.store(false, Ordering::Release);
@@ -739,6 +742,42 @@ mod tests {
         assert_eq!(q.try_consume_batch(&mut out, 4), Consumed::Empty);
         q.close();
         assert_eq!(q.try_consume_batch(&mut out, 4), Consumed::Closed);
+    }
+
+    #[test]
+    fn batch_consume_transposes_like_per_slot_consume() {
+        let cfg = QueueConfig {
+            slots: 8,
+            lane_width: 8,
+            rows: 4,
+        };
+        let (batched, per_slot) = (GravelQueue::new(cfg), GravelQueue::new(cfg));
+        let produce = |count: usize, tag: u64| -> Vec<u64> {
+            let words: Vec<u64> = (0..(count * 4) as u64).map(|w| tag << 16 | w).collect();
+            batched.produce_batch(&words, count);
+            per_slot.produce_batch(&words, count);
+            words
+        };
+        // Wrap the ring with full slots first, so the partial slots
+        // below sit on stale words past their `count`.
+        for tag in 0..8 {
+            produce(8, 100 + tag);
+        }
+        let mut scratch = Vec::new();
+        assert_eq!(batched.try_consume_batch(&mut scratch, 8), Consumed::Batch(64));
+        while let Consumed::Batch(_) = per_slot.try_consume_into(&mut scratch) {}
+        let mut expect = vec![u64::MAX];
+        for (tag, count) in [1usize, 3, 8, 5, 2, 7].into_iter().enumerate() {
+            expect.extend(produce(count, tag as u64));
+        }
+        // One claim over all six partial slots, appended after what
+        // `out` already holds.
+        let mut out = vec![u64::MAX];
+        assert_eq!(batched.try_consume_batch(&mut out, 8), Consumed::Batch(26));
+        let mut one_by_one = vec![u64::MAX];
+        while let Consumed::Batch(_) = per_slot.try_consume_into(&mut one_by_one) {}
+        assert_eq!(out, one_by_one);
+        assert_eq!(out, expect, "message-major, word for word");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use gravel_gq::{Consumed, TrafficClass, NUM_CLASSES};
+use gravel_gq::{Consumed, TrafficClass, MSG_ROWS, NUM_CLASSES};
 use gravel_net::{ChaosPlan, Transport};
 use gravel_pgas::{FlushPolicy, NodeQueues, Packet};
 
@@ -62,9 +62,9 @@ pub struct LaneState {
     pending: Vec<u64>,
     /// Word offset of the next unprocessed message in `pending`.
     pos: usize,
-    /// Reusable flush scratch: packets travel queue → sender through
-    /// this one vector, so the steady-state drain loop allocates
-    /// nothing per batch.
+    /// Reusable scratch for timeout and shutdown flushes, so the idle
+    /// path allocates nothing (the drain loop submits each full
+    /// packet directly).
     scratch: Vec<Packet>,
 }
 
@@ -146,7 +146,7 @@ pub fn run_supervised(
     chaos: Option<Arc<ChaosPlan>>,
 ) {
     let lane = slot as u32;
-    let rows = node.queue.config().rows;
+    debug_assert_eq!(node.queue.config().rows, MSG_ROWS);
     // This lane exclusively drains its own shard ring: destinations hash
     // to lanes at produce time, so per-destination ordering holds without
     // any consumer-side coordination.
@@ -177,55 +177,36 @@ pub fn run_supervised(
             // from a predecessor that panicked at the cursor).
             let _span = node.tracer.span("agg.drain", "aggregate", node.id);
             let now = Instant::now();
-            while *pos < pending.len() {
-                // Scan the run of consecutive messages bound for the
-                // same destination and hand it to the node queue in one
-                // call. Destination sharding makes runs long (with one
-                // dest per lane a whole batch is a single run), so the
-                // per-message dispatch cost amortizes away. The chaos
-                // schedule still ticks once per message so an injected
-                // kill lands on its exact message boundary: the run is
-                // cut short, everything before the boundary is pushed
-                // and submitted, and only then does the lane die.
-                let dest = pending[*pos + 1] as usize;
+            // Scatter each message straight into its (class,
+            // destination) queue. The chaos schedule ticks once per
+            // message before it is aggregated, so an injected kill lands
+            // on its exact message boundary: every packet flushed before
+            // it has been submitted, and the cursor names the message the
+            // restarted lane resumes at.
+            for msg in pending[*pos..].chunks_exact(MSG_ROWS) {
+                if let Some(c) = chaos.as_deref() {
+                    if c.agg_tick(node.id, lane) {
+                        panic!(
+                            "chaos: aggregator {}/{} killed at injected drain step",
+                            node.id, lane
+                        );
+                    }
+                }
+                let msg: &[u64; MSG_ROWS] = msg.try_into().unwrap();
+                let dest = msg[1] as usize;
                 debug_assert!(dest < node.nodes, "message to unknown node {dest}");
-                // Runs split on class as well as destination so packets
-                // stay class-pure (the wire kind advertises the class
-                // and the sender schedules whole packets by band).
+                // Classes get separate queue sets so packets stay
+                // class-pure (the wire kind advertises the class and the
+                // sender schedules whole packets by band).
                 let qi = if node.qos_bands {
-                    TrafficClass::of_command_word(pending[*pos]).index()
+                    TrafficClass::of_command_word(msg[0]).index()
                 } else {
                     0
                 };
-                let mut end = *pos;
-                let mut killed = false;
-                while end < pending.len()
-                    && pending[end + 1] as usize == dest
-                    && (!node.qos_bands
-                        || TrafficClass::of_command_word(pending[end]).index() == qi)
-                {
-                    if let Some(c) = chaos.as_deref() {
-                        if c.agg_tick(node.id, lane) {
-                            killed = true;
-                            break;
-                        }
-                    }
-                    end += rows;
+                if let Some(pkt) = nodeqs[qi].push_msg(dest, msg, now) {
+                    flows.submit(pkt);
                 }
-                if end > *pos {
-                    scratch.clear();
-                    nodeqs[qi].push_run(dest, &pending[*pos..end], rows, now, scratch);
-                    for pkt in scratch.drain(..) {
-                        flows.submit(pkt);
-                    }
-                    *pos = end;
-                }
-                if killed {
-                    panic!(
-                        "chaos: aggregator {}/{} killed at injected drain step",
-                        node.id, lane
-                    );
-                }
+                *pos += MSG_ROWS;
             }
             // Busy lane: publish its load signal (max fill EWMA across
             // this lane's queue sets) and, on lane 0, run the governor's
@@ -607,5 +588,77 @@ mod tests {
         // Sequence numbers are consecutive from 0.
         let seqs: Vec<u64> = uniq.keys().copied().collect();
         assert_eq!(seqs, (0..uniq.len() as u64).collect::<Vec<_>>());
+    }
+
+    /// Kill the lane before every message of a mixed-destination,
+    /// mixed-class batch in turn, so kills land on both sides of full
+    /// 32-message flushes. The supervised restart must resume at the
+    /// exact cursor: heaps bit-exact, every offloaded message applied
+    /// once, and the GET riding in the batch answered.
+    #[test]
+    fn kill_at_every_message_restarts_exactly() {
+        use crate::runtime::GravelRuntime;
+        use gravel_gq::{ReplySink, ReplyState};
+        use gravel_net::ProcessFault;
+
+        const NODES: usize = 3;
+        const HEAP: usize = 64;
+        const MSGS: u64 = 160;
+        // Never written, so the GET must read back 0.
+        const GET_ADDR: u64 = HEAP as u64 - 1;
+        const GET_AT: u64 = 80;
+
+        // ~53 messages per destination against 32-message (1 kB)
+        // queues: every destination flushes full mid-batch. Every 5th
+        // message is a PUT to an address of its own, so the expected
+        // heap does not depend on the order of the bulk stream.
+        let build = |token: u64| -> Vec<Message> {
+            (0..MSGS)
+                .map(|i| {
+                    let dest = ((i * 7 + i / 3) % NODES as u64) as u32;
+                    if i == GET_AT {
+                        Message::get(2, GET_ADDR, token, 5_000)
+                    } else if i % 5 == 0 {
+                        Message::put(dest, 32 + i / 5, i)
+                    } else {
+                        Message::inc(dest, i % 32, i + 1)
+                    }
+                })
+                .collect()
+        };
+        let mut expect = vec![vec![0u64; HEAP]; NODES];
+        for m in build(0) {
+            match m.command {
+                gravel_gq::Command::Put => expect[m.dest as usize][m.addr as usize] = m.value,
+                gravel_gq::Command::Inc => expect[m.dest as usize][m.addr as usize] += m.value,
+                _ => {}
+            }
+        }
+
+        for k in 1..=MSGS + 1 {
+            let plan = Arc::new(gravel_net::ChaosPlan::new(vec![ProcessFault::PanicAggregator {
+                node: 0,
+                slot: 0,
+                at_step: k,
+            }]));
+            let mut cfg = GravelConfig::small(NODES, HEAP);
+            cfg.chaos = Some(plan.clone());
+            let rt = GravelRuntime::new(cfg);
+            let sink = Arc::new(ReplySink::new(1));
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let token = rt.node(0).rpc.register(sink.clone(), 0, deadline).unwrap();
+            rt.node(0).host_send_batch(&build(token));
+            assert!(sink.wait_all(Duration::from_secs(10)), "k={k}: GET unanswered");
+            assert_eq!(sink.get(0), ReplyState::Ok(0), "k={k}");
+            rt.quiesce();
+            for (n, want) in expect.iter().enumerate() {
+                assert_eq!(&rt.heap(n).snapshot(), want, "k={k}: heap {n}");
+            }
+            // Step MSGS + 1 is never reached: the no-kill control run.
+            assert_eq!(plan.fired(), usize::from(k <= MSGS), "k={k}");
+            let stats = rt.shutdown().expect("restart absorbs the kill");
+            assert_eq!(stats.ha.restarts, u64::from(k <= MSGS), "k={k}");
+            assert_eq!(stats.total_offloaded(), stats.total_applied(), "k={k}");
+        }
     }
 }

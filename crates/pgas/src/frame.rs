@@ -1005,7 +1005,7 @@ impl Packet {
     /// class as the frame kind. Called once per packet at submit time;
     /// retransmissions clone the sealed frame (refcounted bytes), so
     /// the CRC is never recomputed. The aggregator keeps packets
-    /// class-pure (runs split on class boundaries), so the first
+    /// class-pure (one queue set per class), so the first
     /// message's class speaks for the whole payload.
     pub fn seal(&self, epoch: u32, integrity: WireIntegrity) -> DataFrame {
         self.seal_in(epoch, integrity, None)

@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use bytes::{BufMut, Bytes, BytesMut};
 use gravel_gq::pool::{BufTicket, BufferPool};
+use gravel_gq::{MSG_BYTES, MSG_ROWS};
 use gravel_telemetry::{Counter, Registry};
 
 /// Default per-node queue size (Table 3).
@@ -148,10 +149,11 @@ impl Packet {
     }
 
     /// Traffic class of the packet, decoded from the first message's
-    /// command word. The aggregator splits runs on class boundaries, so
-    /// every packet it emits is class-pure and the first message speaks
-    /// for all of them. An empty (or garbage) payload classifies as
-    /// BULK — the conservative band.
+    /// command word. With QoS bands on, the aggregator scatters each
+    /// class into its own queue set, so every packet it emits is
+    /// class-pure and the first message speaks for all of them. An
+    /// empty (or garbage) payload classifies as BULK — the conservative
+    /// band.
     pub fn class(&self) -> gravel_gq::TrafficClass {
         match self.payload.get(0..8) {
             Some(b) => gravel_gq::TrafficClass::of_command_word(u64::from_le_bytes(
@@ -191,6 +193,17 @@ struct AggBuffer {
     fill_ewma: f64,
     /// This destination's current effective flush timeout.
     eff_timeout: Duration,
+}
+
+impl AggBuffer {
+    #[inline]
+    fn append(&mut self, msg: &[u64; MSG_ROWS], now: Instant) {
+        if self.buf.is_empty() {
+            self.opened_at = Some(now);
+        }
+        self.buf.put_u64_slice_le(msg);
+        self.messages += 1;
+    }
 }
 
 /// Aggregation statistics for one node (Table 5's inputs).
@@ -463,25 +476,38 @@ impl NodeQueues {
         })
     }
 
-    /// Append one message (as words) to destination `dest`'s queue.
-    /// Returns a packet when the queue filled.
-    pub fn push(&mut self, dest: usize, words: &[u64], now: Instant) -> Option<Packet> {
-        assert!(dest < self.nodes, "destination out of range");
-        let bytes = words.len() * 8;
-        assert!(bytes <= self.queue_bytes, "message larger than queue");
-        // Flush first if this message would overflow.
-        let flushed = if self.bufs[dest].buf.len() + bytes > self.queue_bytes {
+    /// Append one message to destination `dest`'s queue: the
+    /// aggregator's per-message scatter. A fixed 32-byte little-endian
+    /// copy and one compare against the queue size; returns a packet
+    /// when the queue filled (or when this message would have
+    /// overflowed it, if the size is not a whole number of messages).
+    #[inline]
+    pub fn push_msg(&mut self, dest: usize, msg: &[u64; MSG_ROWS], now: Instant) -> Option<Packet> {
+        let b = &mut self.bufs[dest];
+        if b.buf.len() + MSG_BYTES >= self.queue_bytes {
+            return self.push_msg_flushing(dest, msg, now);
+        }
+        b.append(msg, now);
+        None
+    }
+
+    /// [`push_msg`](Self::push_msg) for a message that fills its queue
+    /// or would overflow it: flush first on overflow, flush after when
+    /// exactly full.
+    #[cold]
+    #[inline(never)]
+    fn push_msg_flushing(
+        &mut self,
+        dest: usize,
+        msg: &[u64; MSG_ROWS],
+        now: Instant,
+    ) -> Option<Packet> {
+        let flushed = if self.bufs[dest].buf.len() + MSG_BYTES > self.queue_bytes {
             self.flush_dest(dest, false)
         } else {
             None
         };
-        let b = &mut self.bufs[dest];
-        if b.buf.is_empty() {
-            b.opened_at = Some(now);
-        }
-        b.buf.put_u64_slice_le(words);
-        b.messages += 1;
-        // Exactly-full queues flush immediately.
+        self.bufs[dest].append(msg, now);
         if self.bufs[dest].buf.len() >= self.queue_bytes {
             debug_assert!(flushed.is_none(), "cannot fill twice in one push");
             return self.flush_dest(dest, false);
@@ -489,12 +515,19 @@ impl NodeQueues {
         flushed
     }
 
-    /// Append a run of same-destination messages — `words` holds whole
-    /// messages of `rows` words each, message-major. Semantically
-    /// identical to pushing each message in order, but the per-message
-    /// dispatch (bounds check, overflow branch, buffer lookup) is paid
-    /// once per buffer-sized chunk instead of once per message. Packets
-    /// flushed along the way are appended to `out` in flush order.
+    /// Append one message (as its [`MSG_ROWS`] words) to destination
+    /// `dest`'s queue. Returns a packet when the queue filled.
+    pub fn push(&mut self, dest: usize, words: &[u64], now: Instant) -> Option<Packet> {
+        let msg = words.try_into().expect("push takes one whole message");
+        self.push_msg(dest, msg, now)
+    }
+
+    /// Append consecutive same-destination messages — `words` holds
+    /// whole messages of `rows` (= [`MSG_ROWS`]) words each,
+    /// message-major — exactly as repeated [`push_msg`](Self::push_msg).
+    /// Packets flushed along the way are appended to `out` in flush
+    /// order.
+    #[inline]
     pub fn push_run(
         &mut self,
         dest: usize,
@@ -503,39 +536,11 @@ impl NodeQueues {
         now: Instant,
         out: &mut Vec<Packet>,
     ) {
-        assert!(dest < self.nodes, "destination out of range");
-        let msg_bytes = rows * 8;
-        assert!(
-            msg_bytes > 0 && msg_bytes <= self.queue_bytes,
-            "message larger than queue"
-        );
+        assert_eq!(rows, MSG_ROWS, "queues carry {MSG_ROWS}-word messages");
         debug_assert_eq!(words.len() % rows, 0, "partial message in run");
-        let queue_bytes = self.queue_bytes;
-        let mut rest = words;
-        while !rest.is_empty() {
-            let room = queue_bytes - self.bufs[dest].buf.len();
-            let fit = (room / msg_bytes).min(rest.len() / rows);
-            if fit == 0 {
-                // Next message would overflow; flush and retry. Cannot
-                // loop forever: a flushed buffer has room ≥ msg_bytes.
-                if let Some(p) = self.flush_dest(dest, false) {
-                    out.push(p);
-                }
-                continue;
-            }
-            let take = fit * rows;
-            let b = &mut self.bufs[dest];
-            if b.buf.is_empty() {
-                b.opened_at = Some(now);
-            }
-            b.buf.put_u64_slice_le(&rest[..take]);
-            b.messages += fit as u64;
-            rest = &rest[take..];
-            // Exactly-full queues flush immediately, same as `push`.
-            if self.bufs[dest].buf.len() >= queue_bytes {
-                if let Some(p) = self.flush_dest(dest, false) {
-                    out.push(p);
-                }
+        for msg in words.chunks_exact(MSG_ROWS) {
+            if let Some(p) = self.push_msg(dest, msg.try_into().unwrap(), now) {
+                out.push(p);
             }
         }
     }

@@ -2,11 +2,12 @@
 
 use std::time::{Duration, Instant};
 
+use gravel_gq::{Message, TrafficClass, MSG_ROWS, NUM_CLASSES};
 use gravel_pgas::{
     apply_words, open_ack, open_control, open_frame, open_heartbeat, open_hello, open_reject,
-    seal_control, seal_heartbeat, seal_hello, seal_reject, AmRegistry, DataFrame, FrameKind,
-    HelloInfo, Layout, NodeQueues, Packet, Partition, RejectReason, SymmetricHeap, WireIntegrity,
-    ACK_FRAME_BYTES,
+    seal_control, seal_heartbeat, seal_hello, seal_reject, AggCounters, AggStats, AmRegistry,
+    DataFrame, FlushPolicy, FrameKind, HelloInfo, Layout, NodeQueues, Packet, Partition,
+    RejectReason, SymmetricHeap, WireIntegrity, ACK_FRAME_BYTES,
 };
 use proptest::prelude::*;
 
@@ -84,6 +85,76 @@ proptest! {
         // No packet exceeds the queue size.
         for p in &packets {
             prop_assert!(p.len() <= queue_bytes);
+        }
+    }
+
+    /// The aggregator's per-message scatter (`push_msg`) and `push_run`
+    /// over same-(class, destination) runs emit the packets repeated
+    /// `push` emits: byte for byte, in the same flush order, with the
+    /// same counter deltas. Traffic mixes every class (one queue set per
+    /// class sharing one set of counters, as an aggregator lane keeps
+    /// them), and most queue sizes are not a whole number of messages,
+    /// so flushes straddle messages.
+    #[test]
+    fn scatter_and_push_run_match_repeated_push(
+        msgs in prop::collection::vec((0usize..5, 0usize..NUM_CLASSES, any::<u64>()), 1..400),
+        queue_bytes in 32usize..400,
+    ) {
+        #[derive(Clone, Copy, PartialEq)]
+        enum Path { Push, Scatter, Run }
+        let words: Vec<(usize, usize, [u64; MSG_ROWS])> = msgs
+            .iter()
+            .map(|&(dest, class, v)| {
+                let d = dest as u32;
+                let m = match class {
+                    0 => Message::get(d, v % 64, v, 100),
+                    1 => Message::reply(d, v, v >> 1),
+                    2 => Message::am_call(d, 3, v, v >> 2, 100),
+                    _ => Message::inc(d, v % 64, v),
+                };
+                let w = m.encode();
+                (dest, TrafficClass::of_command_word(w[0]).index(), w)
+            })
+            .collect();
+        let run = |path: Path| -> (Vec<(u32, u32, Vec<u8>)>, AggStats) {
+            let counters = AggCounters::default();
+            let policy = FlushPolicy::Fixed(Duration::from_secs(3600));
+            let mut sets: Vec<NodeQueues> = (0..NUM_CLASSES)
+                .map(|_| NodeQueues::with_policy(0, 5, queue_bytes, policy, counters.clone()))
+                .collect();
+            let now = Instant::now();
+            let mut out = Vec::new();
+            let mut i = 0;
+            while i < words.len() {
+                let (dest, class, w) = words[i];
+                match path {
+                    Path::Push => out.extend(sets[class].push(dest, &w, now)),
+                    Path::Scatter => out.extend(sets[class].push_msg(dest, &w, now)),
+                    Path::Run => {
+                        let mut end = i + 1;
+                        while end < words.len() && (words[end].0, words[end].1) == (dest, class) {
+                            end += 1;
+                        }
+                        let flat: Vec<u64> = words[i..end].iter().flat_map(|m| m.2).collect();
+                        sets[class].push_run(dest, &flat, MSG_ROWS, now, &mut out);
+                        i = end;
+                        continue;
+                    }
+                }
+                i += 1;
+            }
+            for set in &mut sets {
+                set.flush_all_into(&mut out);
+            }
+            let packets = out.iter().map(|p| (p.src, p.dest, p.payload.to_vec())).collect();
+            (packets, counters.snapshot())
+        };
+        let (expect, expect_stats) = run(Path::Push);
+        prop_assert_eq!(expect_stats.messages, msgs.len() as u64);
+        for path in [Path::Scatter, Path::Run] {
+            let (got, stats) = run(path);
+            prop_assert!(got == expect, "packets differ (queue_bytes {})", queue_bytes);
+            prop_assert_eq!(stats, expect_stats);
         }
     }
 
